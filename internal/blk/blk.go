@@ -141,13 +141,9 @@ type Queue struct {
 	reserved int // dispatch decisions in flight toward the device
 	pumping  bool
 
-	// lockQ holds requests waiting for their serialized dispatch-lock
-	// section; lockFn is the single reusable closure handed to the lock
-	// server. host.Server executes work FIFO, so lockRelease always pops
-	// the request whose Exec enqueued it.
-	lockQ    []*device.Request
-	lockHead int
-	lockFn   func()
+	// lockCB finishes a request's serialized dispatch-lock section; the
+	// lock server schedules it with the request as arg.
+	lockCB sim.Callback
 
 	submitted uint64
 	completed uint64
@@ -180,7 +176,7 @@ type Queue struct {
 func NewQueue(eng *sim.Engine, dev *device.Device, sched Scheduler, ctl Controller) *Queue {
 	q := &Queue{eng: eng, dev: dev, sched: sched, ctl: ctl}
 	q.lock = host.NewServer(eng, "dispatch-lock:"+sched.Name())
-	q.lockFn = q.lockRelease
+	q.lockCB = func(arg any, _ uint64) { q.lockRelease(arg.(*device.Request)) }
 	q.wdCB = func(arg any, token uint64) { q.onTimeout(arg.(*device.Request), token) }
 	sched.Bind(q.Pump)
 	if ctl != nil {
@@ -394,8 +390,7 @@ func (q *Queue) Pump() {
 			q.toDevice(r)
 			continue
 		}
-		q.lockQ = append(q.lockQ, r)
-		delay := q.lock.ExecOwned(hold, r.Cgroup, q.lockFn)
+		delay := q.lock.ExecOwned(hold, r.Cgroup, q.lockCB, r)
 		if q.attr != nil && r.Blame != nil && delay > 0 {
 			// The lock runs FIFO and records every holder's busy interval
 			// at Exec time, so the wait window is already fully covered.
@@ -405,16 +400,9 @@ func (q *Queue) Pump() {
 	}
 }
 
-// lockRelease finishes one serialized dispatch-lock section: it pops
-// the oldest queued request and hands it to the device.
-func (q *Queue) lockRelease() {
-	r := q.lockQ[q.lockHead]
-	q.lockQ[q.lockHead] = nil
-	q.lockHead++
-	if q.lockHead == len(q.lockQ) {
-		q.lockQ = q.lockQ[:0]
-		q.lockHead = 0
-	}
+// lockRelease finishes r's serialized dispatch-lock section and hands
+// it to the device.
+func (q *Queue) lockRelease(r *device.Request) {
 	q.reserved--
 	q.toDevice(r)
 }

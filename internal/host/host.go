@@ -44,13 +44,21 @@ func (s *Server) Ledger() *attr.Ledger { return s.led }
 // It returns the queueing delay the work experienced (time spent
 // waiting behind earlier work).
 func (s *Server) Exec(cost sim.Duration, fn func()) sim.Duration {
-	return s.ExecOwned(cost, attr.Other, fn)
+	wait := s.ExecOwned(cost, attr.Other, nil, nil)
+	if fn != nil {
+		s.eng.At(s.avail, fn)
+	}
+	return wait
 }
 
-// ExecOwned is Exec with the owning cgroup recorded in the server's
-// occupancy ledger (when one is attached), so the busy interval this
-// work occupies can be blamed on owner by later waiters.
-func (s *Server) ExecOwned(cost sim.Duration, owner int, fn func()) sim.Duration {
+// ExecOwned queues work of the given cost, recording owner in the
+// server's occupancy ledger (when one is attached) so the busy interval
+// this work occupies can be blamed on owner by later waiters. When the
+// work finishes, call(arg, 0) runs; a nil call schedules no completion
+// event. The callback is meant to be persistent, so hot paths schedule
+// through sim.Engine.AtCall without a per-event closure. It returns the
+// queueing delay the work experienced.
+func (s *Server) ExecOwned(cost sim.Duration, owner int, call sim.Callback, arg any) sim.Duration {
 	if cost < 0 {
 		cost = 0
 	}
@@ -66,8 +74,8 @@ func (s *Server) ExecOwned(cost sim.Duration, owner int, fn func()) sim.Duration
 	if s.led != nil && cost > 0 {
 		s.led.Record(start, done, owner, s.led.DefLayer())
 	}
-	if fn != nil {
-		s.eng.At(done, fn)
+	if call != nil {
+		s.eng.AtCall(done, call, arg, 0)
 	}
 	return start.Sub(now)
 }

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"fmt"
 	"testing"
 
 	"isolbench/internal/sim"
@@ -22,6 +23,32 @@ func TestServerFIFO(t *testing.T) {
 	}
 	if s.Tasks() != 3 {
 		t.Fatalf("tasks = %d", s.Tasks())
+	}
+}
+
+// TestServerExecOwned checks that the callback form shares the
+// FIFO timeline with Exec and hands each completion its own arg.
+func TestServerExecOwned(t *testing.T) {
+	eng := sim.NewEngine()
+	s := NewServer(eng, "c")
+	var got []string
+	call := func(arg any, gen uint64) {
+		got = append(got, fmt.Sprintf("%s@%d/%d", *arg.(*string), eng.Now(), gen))
+	}
+	a, b := "a", "b"
+	if d := s.ExecOwned(100, 0, call, &a); d != 0 {
+		t.Fatalf("idle server delay = %v", d)
+	}
+	s.Exec(50, func() { got = append(got, fmt.Sprintf("thunk@%d", eng.Now())) })
+	if d := s.ExecOwned(25, 0, call, &b); d != 150 {
+		t.Fatalf("busy server delay = %v, want 150", d)
+	}
+	eng.Run()
+	if want := "[a@100/0 thunk@150 b@175/0]"; fmt.Sprint(got) != want {
+		t.Fatalf("completions = %v, want %s", got, want)
+	}
+	if s.Tasks() != 3 || s.BusyTime() != 175 {
+		t.Fatalf("tasks=%d busy=%v, want 3 and 175", s.Tasks(), s.BusyTime())
 	}
 }
 

@@ -1,12 +1,14 @@
 package sim
 
+import "fmt"
+
 // Callback is the engine's event entry point: a persistent function
 // that receives the argument and generation it was scheduled with.
 // Hot paths schedule a long-lived Callback via AtCall/AfterCall
 // instead of building a fresh closure per event — the engine stores
-// arg and gen inline in the event, and pointer-shaped args (pointers,
-// funcs, maps, channels) ride in the any without allocating, so
-// steady-state timer scheduling is allocation-free. gen is an opaque
+// arg and gen in the event's slab slot, and pointer-shaped args
+// (pointers, funcs, maps, channels) ride in the any without allocating,
+// so steady-state timer scheduling is allocation-free. gen is an opaque
 // invalidation token: callbacks that can go stale compare it against
 // their owner's current generation and return early on a mismatch.
 type Callback func(arg any, gen uint64)
@@ -16,11 +18,32 @@ type Callback func(arg any, gen uint64)
 // adaptation costs nothing.
 func runThunk(arg any, _ uint64) { arg.(func())() }
 
-// event is a scheduled callback. Events at the same instant fire in
-// scheduling order (seq breaks ties) so runs are deterministic.
-type event struct {
-	at   Time
-	seq  uint64
+// A key's ord packs the event's scheduling sequence number above its
+// slab slot: ord = seq<<slotBits | slot. seq is unique per engine, so
+// ordering keys by (at, ord) is exactly ordering events by (at, seq),
+// and the slot bits never decide a comparison.
+const (
+	slotBits = 24
+	slotMask = 1<<slotBits - 1
+	maxSlots = 1 << slotBits        // pending-event capacity
+	maxSeq   = 1 << (64 - slotBits) // scheduling capacity over a run
+)
+
+// key is one heap entry. Events at the same instant fire in scheduling
+// order (the seq inside ord breaks ties) so runs are deterministic.
+type key struct {
+	at  Time
+	ord uint64 // seq<<slotBits | slot
+}
+
+// less orders keys by (at, ord), which is (at, seq).
+func (a key) less(b key) bool {
+	return a.at < b.at || a.at == b.at && a.ord < b.ord
+}
+
+// payload is what an event runs: a slab slot, owned by exactly one
+// pending key.
+type payload struct {
 	call Callback
 	arg  any
 	gen  uint64
@@ -29,19 +52,25 @@ type event struct {
 // Engine is a deterministic discrete-event simulator. The zero value is
 // ready to use; time starts at 0.
 //
-// The pending-event queue is an inlined 4-ary min-heap specialized to
-// event, ordered by (at, seq). Compared to container/heap it avoids
-// the interface boxing that allocated one event copy per Push, and the
-// wider fan-out halves the sift-down depth — the hot operation, since
-// the engine's steady state is pop-one, push-a-few. Because (at, seq)
-// is a total order (seq is unique), any heap shape pops events in
-// exactly the same sequence, so this rewrite is observably identical
-// to the old binary heap.
+// The pending-event queue is an inlined 4-ary min-heap of keys, ordered
+// by (at, seq), plus a payload slab indexed by the slot packed into
+// each key. Keys carry no pointers, so a sift moves 16 bytes per level
+// with no GC write barriers, a node's four children fit in 64 bytes,
+// and the collector never scans the heap; a payload is written once
+// when its event is scheduled and read once when it runs. Freed slots
+// go on a LIFO freelist, so the slab never grows past the peak number
+// of pending events and slot reuse is as reproducible as the event
+// order itself. The wide fan-out halves the sift-down depth — the hot
+// operation, since the engine's steady state is pop-one, push-a-few.
+// Because (at, seq) is a total order, any heap shape pops events in
+// exactly the same sequence.
 type Engine struct {
-	now    Time
-	seq    uint64
-	events []event // 4-ary min-heap, root at index 0
-	nRun   uint64
+	now  Time
+	seq  uint64
+	keys []key     // 4-ary min-heap, root at index 0
+	slab []payload // indexed by the slot in each key's ord
+	free []uint32  // LIFO freelist of slab slots
+	nRun uint64
 
 	wd      *watchdogState // nil when no watchdog is armed
 	stopErr error          // first abort/cancel reason; sticky
@@ -57,45 +86,36 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Processed() uint64 { return e.nRun }
 
 // Pending reports how many events are waiting to run.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return len(e.keys) }
 
-// eventLess orders events by (at, seq).
-func eventLess(a, b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// push inserts ev, sifting the hole up instead of swapping: each level
+// push inserts k, sifting the hole up instead of swapping: each level
 // does one compare and one move.
-func (e *Engine) push(ev event) {
-	h := append(e.events, event{})
+func (e *Engine) push(k key) {
+	h := append(e.keys, key{})
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !eventLess(ev, h[p]) {
+		if !k.less(h[p]) {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = ev
-	e.events = h
+	h[i] = k
+	e.keys = h
 }
 
-// pop removes and returns the minimum event. The last element is
-// sifted down into the root hole; moving it (rather than swapping at
-// each level) keeps the common pop-then-push pattern at one write per
-// level plus the final placement.
-func (e *Engine) pop() event {
-	h := e.events
+// pop removes and returns the minimum key. The last key is sifted down
+// into the root hole; moving it (rather than swapping at each level)
+// keeps the common pop-then-push pattern at one write per level plus
+// the final placement.
+func (e *Engine) pop() key {
+	h := e.keys
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // release the callback and arg pointers to the GC
 	h = h[:n]
-	e.events = h
+	e.keys = h
 	if n > 0 {
 		// Sift last down from the root.
 		i := 0
@@ -110,11 +130,11 @@ func (e *Engine) pop() event {
 				end = n
 			}
 			for j := c + 1; j < end; j++ {
-				if eventLess(h[j], h[m]) {
+				if h[j].less(h[m]) {
 					m = j
 				}
 			}
-			if !eventLess(h[m], last) {
+			if !h[m].less(last) {
 				break
 			}
 			h[i] = h[m]
@@ -123,6 +143,23 @@ func (e *Engine) pop() event {
 		h[i] = last
 	}
 	return top
+}
+
+// alloc stores p in a free slab slot, reusing the most recently freed
+// one, and returns the slot.
+func (e *Engine) alloc(p payload) uint64 {
+	if n := len(e.free) - 1; n >= 0 {
+		slot := e.free[n]
+		e.free = e.free[:n]
+		e.slab[slot] = p
+		return uint64(slot)
+	}
+	slot := len(e.slab)
+	if slot >= maxSlots {
+		panic(fmt.Sprintf("sim: more than %d events pending (slot limit 1<<%d)", maxSlots, slotBits))
+	}
+	e.slab = append(e.slab, p)
+	return uint64(slot)
 }
 
 // At schedules fn to run at virtual time t. Scheduling in the past runs
@@ -150,7 +187,11 @@ func (e *Engine) AtCall(t Time, call Callback, arg any, gen uint64) {
 		t = e.now
 	}
 	e.seq++
-	e.push(event{at: t, seq: e.seq, call: call, arg: arg, gen: gen})
+	if e.seq >= maxSeq {
+		panic(fmt.Sprintf("sim: more than %d events scheduled (sequence limit 1<<%d)", uint64(maxSeq-1), 64-slotBits))
+	}
+	slot := e.alloc(payload{call: call, arg: arg, gen: gen})
+	e.push(key{at: t, ord: e.seq<<slotBits | slot})
 }
 
 // AfterCall schedules call(arg, gen) at d after the current time.
@@ -164,16 +205,20 @@ func (e *Engine) AfterCall(d Duration, call Callback, arg any, gen uint64) {
 // Step runs the single earliest pending event. It reports whether an
 // event was run. A stopped engine (see Err) runs nothing.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 || e.stopErr != nil {
+	if len(e.keys) == 0 || e.stopErr != nil {
 		return false
 	}
 	if e.wd != nil && !e.admit() {
 		return false
 	}
-	ev := e.pop()
-	e.now = ev.at
+	k := e.pop()
+	slot := uint32(k.ord & slotMask)
+	p := e.slab[slot]
+	e.slab[slot] = payload{} // let the GC drop arg before the callback runs
+	e.free = append(e.free, slot)
+	e.now = k.at
 	e.nRun++
-	ev.call(ev.arg, ev.gen)
+	p.call(p.arg, p.gen)
 	return true
 }
 
@@ -181,10 +226,10 @@ func (e *Engine) Step() bool {
 // false when no events are pending. Shard coordinators use this on the
 // global engine to compute the next conservative window edge.
 func (e *Engine) PeekNext() (Time, bool) {
-	if len(e.events) == 0 {
+	if len(e.keys) == 0 {
 		return 0, false
 	}
-	return e.events[0].at, true
+	return e.keys[0].at, true
 }
 
 // RunUntil executes events in timestamp order until the clock reaches t
@@ -192,7 +237,7 @@ func (e *Engine) PeekNext() (Time, bool) {
 // with events still pending, so follow-up scheduling is relative to the
 // horizon.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.events) > 0 && e.stopErr == nil && e.events[0].at <= t {
+	for len(e.keys) > 0 && e.stopErr == nil && e.keys[0].at <= t {
 		e.Step()
 	}
 	if e.stopErr == nil && e.now < t {
@@ -208,7 +253,7 @@ func (e *Engine) RunUntil(t Time) {
 // unsharded order, where globally scheduled events carry smaller
 // sequence numbers than any event scheduled during the run.
 func (e *Engine) RunBefore(t Time) {
-	for len(e.events) > 0 && e.stopErr == nil && e.events[0].at < t {
+	for len(e.keys) > 0 && e.stopErr == nil && e.keys[0].at < t {
 		e.Step()
 	}
 	if e.stopErr == nil && e.now < t {

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -188,48 +190,186 @@ func TestEngineEventOrderProperty(t *testing.T) {
 	}
 }
 
-// TestEngineHeapAgainstReferenceSort drives the inlined 4-ary heap
-// directly through a long random push/pop interleaving and checks every
-// popped event against a reference minimum search / sort over a
+// TestEngineHeapAgainstReferenceSort drives the inlined 4-ary key
+// heap directly through a long random push/pop interleaving and checks
+// every popped key against a reference minimum search / sort over a
 // mirrored slice — the property that the specialized heap pops in
-// exactly (at, seq) order.
+// exactly (at, seq) order. Slots are random, so a heap that let the
+// slot bits decide an ordering would fail.
 func TestEngineHeapAgainstReferenceSort(t *testing.T) {
 	rng := NewRNG(42)
 	e := NewEngine()
-	var mirror []event
+	var mirror []key
 	var seq uint64
 	for op := 0; op < 20000; op++ {
 		if len(mirror) == 0 || rng.Uint64()%3 != 0 {
 			seq++
-			ev := event{at: Time(rng.Uint64() % 1024), seq: seq}
-			e.push(ev)
-			mirror = append(mirror, ev)
+			k := key{at: Time(rng.Uint64() % 1024), ord: seq<<slotBits | rng.Uint64()&slotMask}
+			e.push(k)
+			mirror = append(mirror, k)
 			continue
 		}
 		mi := 0
 		for i := range mirror {
-			if eventLess(mirror[i], mirror[mi]) {
+			if mirror[i].less(mirror[mi]) {
 				mi = i
 			}
 		}
 		want := mirror[mi]
 		mirror = append(mirror[:mi], mirror[mi+1:]...)
-		got := e.pop()
-		if got.at != want.at || got.seq != want.seq {
+		if got := e.pop(); got != want {
 			t.Fatalf("op %d: popped (at=%v seq=%d), reference min (at=%v seq=%d)",
-				op, got.at, got.seq, want.at, want.seq)
+				op, got.at, got.ord>>slotBits, want.at, want.ord>>slotBits)
 		}
 	}
-	// Drain the remainder against a full reference sort.
-	sort.Slice(mirror, func(i, j int) bool { return eventLess(mirror[i], mirror[j]) })
+	// Drain the remainder against a full reference sort by (at, seq).
+	sort.Slice(mirror, func(i, j int) bool {
+		if mirror[i].at != mirror[j].at {
+			return mirror[i].at < mirror[j].at
+		}
+		return mirror[i].ord>>slotBits < mirror[j].ord>>slotBits
+	})
 	for i, want := range mirror {
-		got := e.pop()
-		if got.at != want.at || got.seq != want.seq {
+		if got := e.pop(); got != want {
 			t.Fatalf("drain %d: popped (at=%v seq=%d), want (at=%v seq=%d)",
-				i, got.at, got.seq, want.at, want.seq)
+				i, got.at, got.ord>>slotBits, want.at, want.ord>>slotBits)
 		}
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("heap not empty after drain: %d pending", e.Pending())
 	}
+}
+
+// TestEngineSeqOverflowPanics pins the guard on the packed ord: the
+// sequence number must never wrap into the slot bits.
+func TestEngineSeqOverflowPanics(t *testing.T) {
+	e := NewEngine()
+	e.seq = maxSeq - 2
+	e.AtCall(1, func(any, uint64) {}, nil, 0) // takes seq maxSeq-1, the last
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, fmt.Sprintf("sequence limit 1<<%d", 64-slotBits)) {
+			t.Fatalf("panic = %q, want a diagnostic naming the sequence limit", msg)
+		}
+		if e.Pending() != 1 {
+			t.Fatalf("overflowing schedule changed the queue: %d pending", e.Pending())
+		}
+	}()
+	e.AtCall(2, func(any, uint64) {}, nil, 0)
+	t.Fatal("scheduling past the sequence limit did not panic")
+}
+
+// fuzzToken is a fuzzed event's argument: a distinct pointer per
+// event, so a callback handed another event's slot sees the wrong one.
+type fuzzToken struct{ seq uint64 }
+
+// FuzzEngineSchedule drives interleaved AtCall, Step, RunUntil,
+// RunBefore and PeekNext from fuzz bytes against a reference list of
+// pending (at, seq) pairs. It asserts that events pop in (at, seq)
+// order, that every callback receives exactly the arg and gen it was
+// scheduled with (slot aliasing would hand it another event's), and
+// that the slab never grows past the peak Pending count.
+func FuzzEngineSchedule(f *testing.F) {
+	f.Add([]byte{0, 5, 0, 3, 1, 0, 9, 4, 2, 7, 0, 0, 3, 1, 1})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 4, 1, 1, 1})
+	seed := NewRNG(7)
+	long := make([]byte, 600)
+	for i := range long {
+		long[i] = byte(seed.Uint64())
+	}
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		type ref struct {
+			at  Time
+			seq uint64
+		}
+		e := NewEngine()
+		var (
+			pending []ref
+			tokens  = map[uint64]*fuzzToken{}
+			nextSeq uint64
+			peak    int
+			cb      Callback
+		)
+		schedule := func(at Time) {
+			nextSeq++
+			tok := &fuzzToken{seq: nextSeq}
+			tokens[nextSeq] = tok
+			pending = append(pending, ref{at: at, seq: nextSeq})
+			e.AtCall(at, cb, tok, nextSeq)
+			if e.Pending() > peak {
+				peak = e.Pending()
+			}
+		}
+		// next indexes the reference's earliest pending (at, seq).
+		next := func() int {
+			mi := 0
+			for i, r := range pending {
+				if r.at < pending[mi].at || r.at == pending[mi].at && r.seq < pending[mi].seq {
+					mi = i
+				}
+			}
+			return mi
+		}
+		cb = func(arg any, gen uint64) {
+			tok, ok := arg.(*fuzzToken)
+			if !ok || tok != tokens[gen] || tok.seq != gen {
+				t.Fatalf("callback got arg %v gen %d, not the pair it was scheduled with", arg, gen)
+			}
+			delete(tokens, gen)
+			mi := next()
+			if want := pending[mi]; want.seq != gen || want.at != e.Now() {
+				t.Fatalf("ran seq %d at %v, reference next is seq %d at %v", gen, e.Now(), want.seq, want.at)
+			}
+			pending = append(pending[:mi], pending[mi+1:]...)
+			// Every third event schedules a child from inside its
+			// callback, right after its own slot was freed.
+			if gen%3 == 0 {
+				schedule(e.Now().Add(Duration(gen % 5)))
+			}
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			d := Duration(ops[i+1] % 16)
+			switch ops[i] % 5 {
+			case 0:
+				schedule(e.Now().Add(d))
+			case 1:
+				want := len(pending) > 0
+				if e.Step() != want {
+					t.Fatalf("Step ran=%v, reference had pending=%v", !want, want)
+				}
+			case 2:
+				h := e.Now().Add(d)
+				e.RunUntil(h)
+				for _, r := range pending {
+					if r.at <= h {
+						t.Fatalf("RunUntil(%v) left seq %d at %v", h, r.seq, r.at)
+					}
+				}
+			case 3:
+				h := e.Now().Add(d)
+				e.RunBefore(h)
+				for _, r := range pending {
+					if r.at < h {
+						t.Fatalf("RunBefore(%v) left seq %d at %v", h, r.seq, r.at)
+					}
+				}
+			case 4:
+				at, ok := e.PeekNext()
+				if ok != (len(pending) > 0) {
+					t.Fatalf("PeekNext ok=%v with %d pending", ok, len(pending))
+				}
+				if ok && at != pending[next()].at {
+					t.Fatalf("PeekNext = %v, reference next is at %v", at, pending[next()].at)
+				}
+			}
+			if e.Pending() != len(pending) {
+				t.Fatalf("Pending = %d, reference %d", e.Pending(), len(pending))
+			}
+			if len(e.slab) > peak || len(e.slab) != e.Pending()+len(e.free) {
+				t.Fatalf("slab %d slots (free %d, pending %d), peak pending %d",
+					len(e.slab), len(e.free), e.Pending(), peak)
+			}
+		}
+	})
 }

@@ -182,9 +182,12 @@ func TestWatchdogParanoidMonotonicClock(t *testing.T) {
 	// Corrupt the heap the way a buggy scheduler would: an event
 	// stamped before the current clock. At() clamps to now, so reach
 	// into the heap directly (same package).
-	e.events[0].at = Time(Microsecond)
+	e.keys[0].at = Time(Microsecond)
 	if e.Step() {
 		t.Fatal("engine executed an event timestamped before now")
+	}
+	if e.Pending() != 1 || e.slab[e.keys[0].ord&slotMask].call == nil {
+		t.Fatal("refused event was dequeued or lost its payload")
 	}
 	err := e.Err()
 	if !errors.Is(err, ErrWatchdog) {

@@ -33,12 +33,10 @@ type App struct {
 	doneQ       []*device.Request
 	reaping     bool
 
-	// Reusable closures for the submit->complete hot path. Allocating
-	// these once is safe because the submitting/reaping flags guarantee
-	// at most one outstanding instance of each; the pending* fields
-	// carry the batch arguments.
-	submitFn     func()
-	reapFn       func()
+	// Reusable completion closure for the submit->complete hot path.
+	// The submitting/reaping flags guarantee at most one outstanding
+	// submit and reap event (appSubmitCB, appReapCB); the pending*
+	// fields carry the batch arguments.
 	onCompleteFn func(*device.Request)
 	pendingBatch int
 	pendingAt    sim.Time
@@ -95,8 +93,6 @@ func NewApp(eng *sim.Engine, cpu *host.CPU, costs host.Costs, q *blk.Queue, spec
 		over:      q.PathOverheads(),
 		bytesDone: metrics.NewCounter(100 * sim.Millisecond),
 	}
-	a.submitFn = a.submitBatch
-	a.reapFn = a.reapBatch
 	a.onCompleteFn = a.onComplete
 	a.wakeCB = func(_ any, gen uint64) {
 		if gen != a.wakeGen {
@@ -275,8 +271,13 @@ func (a *App) trySubmit() {
 	a.submitting = true
 	a.pendingBatch = n
 	a.pendingAt = submitAt
-	a.pendingWait = a.core.ExecOwned(cost, a.cgID, a.submitFn)
+	a.pendingWait = a.core.ExecOwned(cost, a.cgID, appSubmitCB, a)
 }
+
+// appSubmitCB and appReapCB are every App's core-completion callbacks;
+// the App rides in arg.
+func appSubmitCB(arg any, _ uint64) { arg.(*App).submitBatch() }
+func appReapCB(arg any, _ uint64)   { arg.(*App).reapBatch() }
 
 // submitBatch delivers the batch staged by trySubmit once its CPU cost
 // has been paid.
@@ -352,7 +353,7 @@ func (a *App) onComplete(r *device.Request) {
 func (a *App) scheduleReap() {
 	n := len(a.doneQ)
 	cost := a.costs.ReapCost(n) + sim.Duration(n)*a.over.CompleteCPU
-	wait := a.core.ExecOwned(cost, a.cgID, a.reapFn)
+	wait := a.core.ExecOwned(cost, a.cgID, appReapCB, a)
 	if a.attrT != nil && wait > 0 {
 		// Reap-path CPU queueing happens after the requests' spans were
 		// harvested, so it goes straight into the blame matrix as its

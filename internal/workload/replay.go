@@ -80,15 +80,12 @@ type ReplayApp struct {
 	schedPeak int
 	srcDone   bool
 
-	// Submission FIFO: arrivals build their pooled request immediately
-	// and stage it here; each arrival schedules one submitFn on the
-	// core (FIFO), which pops the head. head-index ring like blk's
-	// lockQ so steady state never reallocates.
-	subQ    []*device.Request
-	subHead int
+	// Arrivals build their pooled request immediately and hand it to
+	// submitCB through the core; staged counts the requests whose
+	// submission CPU cost is still being paid.
+	staged   int
+	submitCB sim.Callback // persistent: arg is the staged request
 
-	submitFn     func()
-	reapFn       func()
 	onCompleteFn func(*device.Request)
 	doneQ        []*device.Request
 	reaping      bool
@@ -171,8 +168,7 @@ func NewReplayApp(eng *sim.Engine, cpu *host.CPU, costs host.Costs, q *blk.Queue
 		window:    window,
 		bytesDone: metrics.NewCounter(100 * sim.Millisecond),
 	}
-	a.submitFn = a.submitOne
-	a.reapFn = a.reapBatch
+	a.submitCB = func(arg any, _ uint64) { a.submitOne(arg.(*device.Request)) }
 	a.onCompleteFn = a.onComplete
 	a.acct = cpu.NewAccount(a.over.CtxPerIO, a.over.CyclesPerIO)
 	return a, nil
@@ -271,25 +267,18 @@ func (a *ReplayApp) arrive(s *replaySlot) {
 	if e.Size > a.maxSize {
 		a.maxSize = e.Size
 	}
-	a.subQ = append(a.subQ, r)
-	a.core.ExecOwned(a.costs.SubmitCost(1)+a.over.SubmitCPU, a.cgID, a.submitFn)
+	a.staged++
+	a.core.ExecOwned(a.costs.SubmitCost(1)+a.over.SubmitCPU, a.cgID, a.submitCB, r)
 
 	if a.window > 0 {
 		a.scheduleNext()
 	}
 }
 
-// submitOne delivers the oldest staged request once its submission CPU
-// cost has been paid. Arrivals and core execution are both FIFO, so the
-// head always matches the arrival that scheduled this call.
-func (a *ReplayApp) submitOne() {
-	r := a.subQ[a.subHead]
-	a.subQ[a.subHead] = nil
-	a.subHead++
-	if a.subHead == len(a.subQ) {
-		a.subQ = a.subQ[:0]
-		a.subHead = 0
-	}
+// submitOne delivers a staged request once its submission CPU cost has
+// been paid.
+func (a *ReplayApp) submitOne(r *device.Request) {
+	a.staged--
 	a.queue.Submit(r)
 }
 
@@ -301,9 +290,12 @@ func (a *ReplayApp) onComplete(r *device.Request) {
 	if !a.reaping {
 		a.reaping = true
 		n := len(a.doneQ)
-		a.core.ExecOwned(a.costs.ReapCost(n)+sim.Duration(n)*a.over.CompleteCPU, a.cgID, a.reapFn)
+		a.core.ExecOwned(a.costs.ReapCost(n)+sim.Duration(n)*a.over.CompleteCPU, a.cgID, replayReapCB, a)
 	}
 }
+
+// replayReapCB is every ReplayApp's reap callback; the app rides in arg.
+func replayReapCB(arg any, _ uint64) { arg.(*ReplayApp).reapBatch() }
 
 // reapBatch drains the completion queue once the reap cost is paid.
 // Failed and timed-out requests moved no data: they count as errors
@@ -432,11 +424,10 @@ func (a *ReplayApp) CheckConservation() []string {
 			"replay %s: issued(%d) != reaped(%d)+outstanding(%d)",
 			a.name, a.issued, a.reaped, a.outstanding))
 	}
-	staged := len(a.subQ) - a.subHead
-	if held := staged + len(a.doneQ); a.outstanding < held {
+	if held := a.staged + len(a.doneQ); a.outstanding < held {
 		v = append(v, fmt.Sprintf(
 			"replay %s: outstanding %d below held requests (staged %d + reapable %d)",
-			a.name, a.outstanding, staged, len(a.doneQ)))
+			a.name, a.outstanding, a.staged, len(a.doneQ)))
 	}
 	if got := uint64(a.hist.Count()); got != a.iosDone {
 		v = append(v, fmt.Sprintf(

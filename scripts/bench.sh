@@ -21,7 +21,7 @@ run="$(mktemp)"
 next="$(mktemp)"
 trap 'rm -f "$raw" "$run" "$next"' EXIT
 
-go test -run '^$' -bench 'EngineHotLoop|TradeoffParallel|FleetTenants' -benchmem \
+go test -run '^$' -bench 'EngineEvent|EngineFanout|EngineHotLoop|TradeoffParallel|FleetTenants' -benchmem \
     -benchtime "$benchtime" -count "$count" \
     ./internal/sim/ ./internal/core/ | tee "$raw"
 
