@@ -335,7 +335,7 @@ func fig2Units() ([]harness.Unit, error) {
 	var units []harness.Unit
 	for _, k := range ks {
 		variants := []bool{false}
-		if k == core.KnobBFQ || k == core.KnobIOCost {
+		if k.WeightedPanel() {
 			variants = []bool{false, true} // uniform + weighted panels
 		}
 		for _, weighted := range variants {
@@ -524,7 +524,7 @@ func fig7Units() ([]harness.Unit, error) {
 			// The paper only sweeps BE variants for the throttling
 			// knobs; the schedulers' trade-offs are too limited (Q6).
 			vs := variants
-			if k == core.KnobMQDeadline || k == core.KnobBFQ {
+			if k.UsesScheduler() {
 				vs = []core.BEVariant{core.BE4KRand}
 			}
 			for _, v := range vs {

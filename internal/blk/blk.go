@@ -199,27 +199,22 @@ func (q *Queue) SetObserver(o *obs.Observer, devName string) {
 func (q *Queue) Observer() *obs.Observer { return q.obs }
 
 // SetAttribution attaches the wait-for-whom tracker: scheduler-queue
-// residency is charged against the dispatch stream, dispatch-lock
+// residency is charged against the dispatch stream (schedLed, the
+// ledger the bound scheduler records its own holds in), dispatch-lock
 // waits against the lock's occupancy ledger, device waits inside the
 // device, and retry backoff to the request's own cgroup. Passing nil
 // detaches everything (the disabled fast path).
-func (q *Queue) SetAttribution(t *attr.Tracker) {
+func (q *Queue) SetAttribution(t *attr.Tracker, schedLed *attr.Ledger) {
 	q.attr = t
+	q.schedLed = schedLed
 	if t == nil {
-		q.schedLed = nil
 		q.lock.SetLedger(nil)
 		q.dev.SetAttribution(nil)
 		return
 	}
-	q.schedLed = t.NewLedger(attr.LayerSched)
 	q.lock.SetLedger(t.NewLedger(attr.LayerDispatch))
 	q.dev.SetAttribution(t)
 }
-
-// SchedLedger returns the scheduler dispatch-stream ledger so the
-// bound scheduler can record its own holds (nil when attribution is
-// off).
-func (q *Queue) SchedLedger() *attr.Ledger { return q.schedLed }
 
 // DevName returns the observability device label.
 func (q *Queue) DevName() string { return q.devName }

@@ -139,7 +139,7 @@ func RunAttribution(cfg AttributionConfig) (*AttributionResult, error) {
 			}
 		}
 	}
-	if err := applyFairnessWeights(cfg.Knob, groups, weights, 3.0e9); err != nil {
+	if err := applyFairnessWeights(cfg.Knob, groups, weights); err != nil {
 		return nil, err
 	}
 	if err := cl.RunPhase(cfg.Warmup, cfg.Measure); err != nil {

@@ -143,12 +143,7 @@ func (o Options) withDefaults() Options {
 		// observer; forcing it is safe for the same reason as above.
 		o.Observe = true
 	}
-	if o.Knob == KnobAdaptive {
-		// The adaptive shaper estimates from io.stat/io.pressure/SLO
-		// deltas, which only exist with the observer attached. This
-		// also pins adaptive runs to the single-engine runtime (the
-		// observer disables sharding), which is what makes the control
-		// loop byte-identical across -shards values.
+	if o.Knob.def().observe {
 		o.Observe = true
 	}
 	if o.Control.Paranoid && o.Attr {

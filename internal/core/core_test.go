@@ -9,39 +9,31 @@ import (
 )
 
 func TestParseKnob(t *testing.T) {
-	// Every accepted alias, by knob. The first alias of each knob is
-	// its canonical String() form, pinning the round-trip below.
-	aliases := []struct {
-		knob    Knob
-		aliases []string
-	}{
-		{KnobNone, []string{"none", "noop", "baseline"}},
-		{KnobMQDeadline, []string{"mq-deadline", "mqdl", "mq_deadline", "io.prio.class", "prio"}},
-		{KnobBFQ, []string{"bfq", "io.bfq.weight"}},
-		{KnobIOMax, []string{"io.max", "iomax", "max"}},
-		{KnobIOLatency, []string{"io.latency", "iolatency", "latency"}},
-		{KnobIOCost, []string{"io.cost", "iocost", "cost", "io.weight"}},
-		{KnobAdaptive, []string{"adaptive", "io.shaper"}},
+	// Every registered name and alias must parse back to its own knob
+	// (an alias shared by two entries fails here), and String() must
+	// be ParseKnob's inverse on the canonical name.
+	if len(knobs) != int(KnobAdaptive)+1 {
+		t.Fatalf("registry has %d entries, want one per knob", len(knobs))
 	}
-	for _, tc := range aliases {
-		for _, in := range tc.aliases {
+	for i, d := range knobs {
+		k := Knob(i)
+		for _, in := range append([]string{d.name}, d.aliases...) {
 			got, err := ParseKnob(in)
-			if err != nil || got != tc.knob {
-				t.Fatalf("ParseKnob(%q) = %v, %v; want %v", in, got, err, tc.knob)
+			if err != nil || got != k {
+				t.Fatalf("ParseKnob(%q) = %v, %v; want %v", in, got, err, k)
 			}
 			// Aliases are case/space-insensitive.
 			got, err = ParseKnob("  " + strings.ToUpper(in) + " ")
-			if err != nil || got != tc.knob {
-				t.Fatalf("ParseKnob(%q, decorated) = %v, %v; want %v", in, got, err, tc.knob)
+			if err != nil || got != k {
+				t.Fatalf("ParseKnob(%q, decorated) = %v, %v; want %v", in, got, err, k)
 			}
 		}
-		// String() must be ParseKnob's inverse on the canonical name.
-		if got := tc.knob.String(); got != tc.aliases[0] {
-			t.Fatalf("%v.String() = %q, want canonical alias %q", tc.knob, got, tc.aliases[0])
+		if got := k.String(); got != d.name {
+			t.Fatalf("%v.String() = %q, want canonical name %q", k, got, d.name)
 		}
-		rt, err := ParseKnob(tc.knob.String())
-		if err != nil || rt != tc.knob {
-			t.Fatalf("round-trip ParseKnob(%v.String()) = %v, %v", tc.knob, rt, err)
+		rt, err := ParseKnob(k.String())
+		if err != nil || rt != k {
+			t.Fatalf("round-trip ParseKnob(%v.String()) = %v, %v", k, rt, err)
 		}
 	}
 	for _, bad := range []string{"cfq", "", "io.adaptive", "shaper", "io.max2"} {
@@ -75,7 +67,12 @@ func TestParseKnob(t *testing.T) {
 }
 
 func TestClusterAssembly(t *testing.T) {
-	for _, k := range AllKnobs() {
+	// A Knob value with no registry entry is refused, not run as the
+	// baseline.
+	if _, err := NewCluster(Options{Knob: Knob(42), Seed: 1}); err == nil || !strings.Contains(err.Error(), "knob(42)") {
+		t.Fatalf("Knob(42): err = %v, want an error naming the value", err)
+	}
+	for _, k := range append(AllKnobs(), KnobAdaptive) {
 		cl, err := NewCluster(Options{Knob: k, Devices: 2, Seed: 1})
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
@@ -100,6 +97,9 @@ func TestClusterAssembly(t *testing.T) {
 			if v, err := cl.Tree.Root().ReadFile("io.cost.model"); err != nil || v == "" {
 				t.Fatalf("io.cost.model not configured: %q %v", v, err)
 			}
+		}
+		if k == KnobAdaptive && len(cl.Shapers) != 2 {
+			t.Fatalf("adaptive: %d shapers, want one per device", len(cl.Shapers))
 		}
 		if k.UsesScheduler() && cl.Queues[0].Controller() != nil {
 			t.Fatalf("%v: scheduler knob must not have a controller", k)

@@ -13,10 +13,6 @@ import (
 	"isolbench/internal/host"
 	"isolbench/internal/ioctl/iocost"
 	"isolbench/internal/ioctl/iolatency"
-	"isolbench/internal/ioctl/iomax"
-	"isolbench/internal/iosched/bfq"
-	"isolbench/internal/iosched/mqdeadline"
-	"isolbench/internal/iosched/noop"
 	"isolbench/internal/obs"
 	"isolbench/internal/obs/attr"
 	"isolbench/internal/shaper"
@@ -198,6 +194,9 @@ type pendingRetire struct {
 
 // NewFleet assembles a testbed for the given options.
 func NewFleet(opts Options) (*Fleet, error) {
+	if opts.Knob.def().column == nil {
+		return nil, fmt.Errorf("core: %v is not a registered knob", opts.Knob)
+	}
 	opts = opts.withDefaults()
 	c := &Fleet{
 		Opts: opts,
@@ -282,7 +281,7 @@ func NewFleet(opts Options) (*Fleet, error) {
 	c.Slice = slice
 
 	// io.cost config must be on the root before controllers attach.
-	if opts.Knob == KnobIOCost {
+	if opts.Knob.def().costRoot {
 		for i := 0; i < opts.Devices; i++ {
 			if err := c.configureIOCostRoot(i); err != nil {
 				return nil, err
@@ -331,62 +330,12 @@ func (c *Fleet) addColumn(i int) error {
 		dev.Precondition()
 	}
 	col := &DeviceColumn{Index: i, Dev: dev}
-	var sched blk.Scheduler
-	var ctl blk.Controller
-	switch opts.Knob {
-	case KnobMQDeadline:
-		md := mqdeadline.New(eng, mqdeadline.DefaultConfig())
-		md.Obs = c.Obs
-		sched = md
-	case KnobBFQ:
-		cfg := bfq.DefaultConfig()
-		if opts.BFQSliceIdleOff {
-			cfg.SliceIdle = 0
-		}
-		cfg.LowLatency = opts.BFQLowLatency
-		bq := bfq.New(eng, cfg)
-		bq.Obs = c.Obs
-		sched = bq
-	case KnobIOMax:
-		sched = noop.New()
-		im := iomax.New(eng, c.Tree, DevName(i))
-		im.Obs = c.Obs
-		ctl = im
-	case KnobIOLatency:
-		sched = noop.New()
-		il := iolatency.New(eng, c.Tree, DevName(i), opts.Profile.MaxQD)
-		il.Obs = c.Obs
-		c.IOLat = append(c.IOLat, il)
-		col.IOLat = il
-		ctl = il
-	case KnobIOCost:
-		sched = noop.New()
-		ic := iocost.New(eng, c.Tree, DevName(i))
-		ic.Obs = c.Obs
-		c.IOCost = append(c.IOCost, ic)
-		col.IOCost = ic
-		ctl = ic
-	case KnobAdaptive:
-		// The adaptive knob enforces through the same io.max mechanism
-		// as KnobIOMax, but its limits are rewritten every window by the
-		// closed-loop shaper, and its throttle holds are blamed on the
-		// shaper's decisions (LayerShaper) rather than on static io.max
-		// configuration.
-		sched = noop.New()
-		im := iomax.New(eng, c.Tree, DevName(i))
-		im.Obs = c.Obs
-		im.HoldLayer = attr.LayerShaper
-		ctl = im
-		sh := shaper.New(eng, c.Tree, DevName(i), opts.Shaper)
-		sh.Obs = c.Obs
-		for _, g := range c.Groups {
-			sh.Register(g)
-		}
-		c.Shapers = append(c.Shapers, sh)
-		col.Shaper = sh
-	default:
-		sched = noop.New()
-	}
+	// The scheduler shares the queue's dispatch-stream ledger so it can
+	// own intervals where nothing dispatches (BFQ idling, MQ-DL
+	// strict-priority recency blocks); controllers charge their
+	// throttle holds directly.
+	schedLed := c.Attr.NewLedger(attr.LayerSched)
+	sched, ctl := opts.Knob.def().column(c, col, eng, schedLed)
 	if c.Obs != nil {
 		name := DevName(i)
 		dev.OnGC = func(active bool, debtBytes int64) {
@@ -414,25 +363,7 @@ func (c *Fleet) addColumn(i int) error {
 	q := blk.NewQueue(eng, dev, sched, ctl)
 	q.SetObserver(c.Obs, DevName(i))
 	if c.Attr != nil {
-		q.SetAttribution(c.Attr)
-		// Schedulers share the queue's dispatch-stream ledger so
-		// they can own intervals where nothing dispatches (BFQ
-		// idling, MQ-DL strict-priority recency blocks);
-		// controllers charge their throttle holds directly.
-		switch s := sched.(type) {
-		case *mqdeadline.Scheduler:
-			s.Led = q.SchedLedger()
-		case *bfq.Scheduler:
-			s.Led = q.SchedLedger()
-		}
-		switch t := ctl.(type) {
-		case *iomax.Controller:
-			t.Attr = c.Attr
-		case *iolatency.Controller:
-			t.Attr = c.Attr
-		case *iocost.Controller:
-			t.Attr = c.Attr
-		}
+		q.SetAttribution(c.Attr, schedLed)
 	}
 	retry := opts.Retry
 	if retry == (blk.RetryPolicy{}) && opts.Fault.Enabled() {
@@ -455,7 +386,7 @@ func (c *Fleet) addColumn(i int) error {
 // new column's device index.
 func (c *Fleet) AddDevice() (int, error) {
 	i := len(c.Devices)
-	if c.Opts.Knob == KnobIOCost {
+	if c.Opts.Knob.def().costRoot {
 		if err := c.configureIOCostRoot(i); err != nil {
 			return 0, err
 		}

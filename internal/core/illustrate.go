@@ -37,48 +37,6 @@ type TimelineSeries struct {
 	Points []metrics.TimelinePoint
 }
 
-// illustrateKnobConfig applies the per-knob settings of Fig. 2's
-// panels to the three app groups.
-func illustrateKnobConfig(k Knob, weighted bool, gs [3]*cgroup.Group, root *cgroup.Group) error {
-	switch k {
-	case KnobMQDeadline: // Fig. 2b: each app a different class
-		for i, class := range []string{"rt", "be", "idle"} {
-			if err := gs[i].SetFile("io.prio.class", class); err != nil {
-				return err
-			}
-		}
-	case KnobBFQ: // Fig. 2c (uniform) / 2d (weights)
-		weights := []string{"100", "100", "100"}
-		if weighted {
-			weights = []string{"400", "200", "100"}
-		}
-		for i, w := range weights {
-			if err := gs[i].SetFile("io.bfq.weight", w); err != nil {
-				return err
-			}
-		}
-	case KnobIOMax: // Fig. 2e: 1 GiB/s cap per group
-		for _, g := range gs {
-			if err := g.SetFile("io.max", "rbps=1073741824"); err != nil {
-				return err
-			}
-		}
-	case KnobIOLatency: // Fig. 2f: A protected at 100 us
-		return gs[0].SetFile("io.latency", "target=100")
-	case KnobIOCost: // Fig. 2g (uniform) / 2h (weights); P95 100 us target
-		weights := []string{"100", "100", "100"}
-		if weighted {
-			weights = []string{"800", "200", "50"}
-		}
-		for i, w := range weights {
-			if err := gs[i].SetFile("io.weight", w); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // RunIllustrate reproduces one Fig. 2 panel: apps A (0-50 s),
 // B (10-70 s), C (20-50 s), each 64 KiB random reads at QD 8
 // rate-limited to 1.5 GiB/s, in separate cgroups under the given knob.
@@ -134,8 +92,15 @@ func RunIllustrate(cfg IllustrateConfig) ([]TimelineSeries, error) {
 		}
 		apps[i] = app
 	}
-	if err := illustrateKnobConfig(cfg.Knob, cfg.Weighted, groups, cl.Tree.Root()); err != nil {
-		return nil, err
+	d := cfg.Knob.def()
+	values := d.fig2Values
+	if cfg.Weighted && d.fig2Weighted != nil {
+		values = d.fig2Weighted
+	}
+	for i, v := range values {
+		if err := groups[i].SetFile(d.fig2File, v); err != nil {
+			return nil, err
+		}
 	}
 
 	if err := cl.RunTo(scale(70)); err != nil {

@@ -16,13 +16,11 @@ import (
 // priority classes stay unset. (io.cost is neutralized cluster-wide
 // via UnthrottledCostModel/QoS; BFQ via BFQSliceIdleOff.)
 func NeutralizeKnob(k Knob, g *cgroup.Group) error {
-	switch k {
-	case KnobIOMax:
-		return g.SetFile("io.max", "rbps=1000000000000 wbps=1000000000000")
-	case KnobIOLatency:
-		return g.SetFile("io.latency", "target=5000000") // 5 s
+	d := k.def()
+	if d.neutralFile == "" {
+		return nil
 	}
-	return nil
+	return g.SetFile(d.neutralFile, d.neutralValue)
 }
 
 // overheadOptions returns cluster options with the knob neutralized
@@ -32,7 +30,7 @@ func overheadOptions(k Knob, profile string, cores, devices int, seed uint64) (O
 	if err != nil {
 		return Options{}, err
 	}
-	opts := Options{
+	return Options{
 		Knob:            k,
 		Profile:         prof,
 		Cores:           cores,
@@ -41,17 +39,8 @@ func overheadOptions(k Knob, profile string, cores, devices int, seed uint64) (O
 		BFQSliceIdleOff: true, // §V: slice_idle disabled for overhead runs
 		IOCostModel:     UnthrottledCostModel,
 		IOCostQoS:       UnthrottledCostQoS,
-	}
-	if k == KnobAdaptive {
-		// Neutralize the shaper the same way io.max/io.cost are
-		// neutralized: its control loop, estimators, and window ticks
-		// all run (that machinery IS the measured overhead), but a cap
-		// floor far beyond device saturation guarantees it never
-		// throttles the D1 workload.
-		opts.Shaper.FloorBps = 1e12
-		opts.Shaper.CeilingBps = 2e12
-	}
-	return opts, nil
+		Shaper:          k.def().neutralShaper,
+	}, nil
 }
 
 // LatencyScalingPoint is one (apps, latency/CPU) sample of Fig. 3.

@@ -134,7 +134,7 @@ func runResilienceCluster(cfg ResilienceConfig, fp fault.Profile) (*Cluster, Res
 			}
 		}
 	}
-	if err := applyFairnessWeights(cfg.Knob, groups, weights, 3.0e9); err != nil {
+	if err := applyFairnessWeights(cfg.Knob, groups, weights); err != nil {
 		return nil, Result{}, err
 	}
 	if err := cl.RunPhase(cfg.Warmup, cfg.Measure); err != nil {

@@ -173,7 +173,7 @@ func runTraceReplaySide(cfg TraceReplayConfig, src trace.Source, contended bool)
 	groups := []*cgroup.Group{gNbr, gRep}
 	// Ascending weights, replay protected at index 1 (the
 	// applyFairnessWeights priority-class convention).
-	if err := applyFairnessWeights(cfg.Knob, groups, []float64{1, 4}, 3.0e9); err != nil {
+	if err := applyFairnessWeights(cfg.Knob, groups, []float64{1, 4}); err != nil {
 		return nil, err
 	}
 	if contended {

@@ -57,13 +57,6 @@ type TableIConfig struct {
 	Knobs []Knob
 }
 
-// nativeWeights reports whether the knob exposes a direct proportional
-// weight (io.max only approximates weights through statically
-// translated maximums, which the paper scores as partial).
-func nativeWeights(k Knob) bool {
-	return k == KnobIOCost || k == KnobBFQ || k == KnobAdaptive
-}
-
 // RunTableI measures every knob against all four desiderata and
 // derives the Table I verdicts from documented thresholds:
 //
@@ -188,7 +181,7 @@ func deriveRow(cfg TableIConfig, k Knob, measure sim.Duration, steps, repeats in
 	switch {
 	case minJ < 0.70 || bwRatio < 0.50:
 		row.Fairness = Bad
-	case allJ < 0.80 || !nativeWeights(k):
+	case allJ < 0.80 || !k.def().nativeWeights:
 		row.Fairness = Partial
 	default:
 		row.Fairness = Good
@@ -292,22 +285,14 @@ func distinctOutcomes(pts []TradeoffPoint) int {
 func WriteTableI(w io.Writer, rows []DesiderataRow, withEvidence bool) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "cgroups I/O control knob\tLow Overhead\tProportional Fairness\tPriority/Utilization Trade-offs\tPriority Bursts")
-	label := map[Knob]string{
-		KnobMQDeadline: "io.prio.class + MQ-DL",
-		KnobBFQ:        "io.bfq.weight + BFQ",
-		KnobIOMax:      "io.max",
-		KnobIOLatency:  "io.latency",
-		KnobIOCost:     "io.cost + io.weight",
-		KnobAdaptive:   "adaptive shaper (io.max + io.weight)",
-	}
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\n",
-			label[r.Knob], r.Overhead, r.Fairness, r.Tradeoffs, r.Bursts)
+			r.Knob.def().label, r.Overhead, r.Fairness, r.Tradeoffs, r.Bursts)
 	}
 	tw.Flush()
 	if withEvidence {
 		for _, r := range rows {
-			fmt.Fprintf(w, "\n%s:\n", label[r.Knob])
+			fmt.Fprintf(w, "\n%s:\n", r.Knob.def().label)
 			for _, e := range r.Evidence {
 				fmt.Fprintf(w, "  - %s\n", e)
 			}
